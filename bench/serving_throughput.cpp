@@ -4,9 +4,10 @@
 // Four modes, closed-loop clients, same optimized batch-1 graph:
 //   naive          every request builds a fresh Executor (prepack + arena
 //                  planning paid per request) and runs batch 1
-//   pool           Server with max_batch 1 — reuses compiled artifacts and
-//                  pooled arena sessions, no coalescing
-//   pool+batching  Server with the model's full micro-batch ceiling
+//   pool           a one-model FleetServer over a max_batch-1 compile —
+//                  reuses compiled artifacts and pooled arena sessions, no
+//                  coalescing (its slabs hold the batch-1 variant only)
+//   pool+batching  a one-model FleetServer over the max_batch-8 compile
 //   pool+faults    pool+batching with a ~1% transient fault rate injected
 //                  via the serve.exec_transient failpoint: what retry, the
 //                  circuit breaker, and degraded mode cost when the fault
@@ -32,7 +33,7 @@
 
 #include "bench/common.hpp"
 #include "serve/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "support/failpoint.hpp"
 #include "support/timer.hpp"
@@ -189,28 +190,33 @@ ModeResult run_naive(const ir::Graph& optimized_b1, const Tensor& input,
                 transient);
 }
 
-ModeResult run_server(const std::shared_ptr<const serve::CompiledModel>& model,
-                      const Tensor& input, const ServingConfig& config,
-                      std::size_t max_batch, const std::string& label) {
-  serve::ServerOptions options;
+/// One model behind a fleet sized like a small dedicated deployment.
+serve::FleetOptions fleet_options(const ServingConfig& config) {
+  serve::FleetOptions options;
   options.workers = 2;
-  options.sessions = 2;
-  options.max_batch = max_batch;
+  options.sessions_per_model = 2;
   options.queue_capacity = config.requests + config.clients;
   // Self-clocking batching: coalesce whatever is already queued, never idle
   // waiting for stragglers.  While a batch executes, closed-loop clients
-  // refill the queue, so batches ramp to the ceiling on their own.
-  options.batch_timeout = std::chrono::microseconds(0);
-  serve::Server server(model, options);
+  // refill the queue, so batches ramp up on their own.
+  options.max_batch_timeout = std::chrono::microseconds(0);
+  return options;
+}
+
+ModeResult run_fleet(const std::shared_ptr<const serve::CompiledModel>& model,
+                      const Tensor& input, const ServingConfig& config,
+                      const std::string& label) {
+  serve::FleetServer fleet(fleet_options(config));
+  fleet.install(label, model);
 
   Timer wall;
   auto latencies = closed_loop(config.requests, config.clients, [&](std::size_t) {
-    server.submit({input}).get();
+    fleet.submit(label, {input}).get();
   });
   const double elapsed = wall.elapsed_seconds();
-  const auto stats = server.stats();
+  const auto stats = fleet.snapshot().at(0);
   ModeResult result = finish(label, elapsed, std::move(latencies), config.requests,
-                             server.session_pool().resident_bytes());
+                             static_cast<std::size_t>(stats.arena_resident_bytes));
   result.batches = stats.batches;
   result.max_batch_seen = stats.max_batch_seen;
   return result;
@@ -223,26 +229,22 @@ ModeResult run_server(const std::shared_ptr<const serve::CompiledModel>& model,
 /// earn its way back.  Goodput counts only requests that resolved with a
 /// value.
 ModeResult run_faulted(const std::shared_ptr<const serve::CompiledModel>& model,
-                       const Tensor& input, const ServingConfig& config,
-                       std::size_t max_batch) {
-  serve::ServerOptions options;
-  options.workers = 2;
-  options.sessions = 2;
-  options.max_batch = max_batch;
-  options.queue_capacity = config.requests + config.clients;
-  options.batch_timeout = std::chrono::microseconds(0);
+                       const Tensor& input, const ServingConfig& config) {
+  serve::FleetOptions options = fleet_options(config);
   options.max_retries = 1;
   options.retry_backoff = std::chrono::microseconds(50);
   options.breaker_threshold = 3;
   options.breaker_recovery = 4;
-  serve::Server server(model, options);
+  serve::FleetServer fleet(options);
+  const std::string label = "pool+faults";
+  fleet.install(label, model);
 
   std::atomic<std::size_t> succeeded{0};
   Timer wall;
   auto latencies = closed_loop(config.requests, config.clients, [&](std::size_t index) {
     if (index % 100 == 7) failpoints::arm("serve.exec_transient", 1);
     try {
-      server.submit({input}).get();
+      fleet.submit(label, {input}).get();
       succeeded.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error&) {
       // An injected fault that outlived the retry budget; counted below.
@@ -250,9 +252,9 @@ ModeResult run_faulted(const std::shared_ptr<const serve::CompiledModel>& model,
   });
   const double elapsed = wall.elapsed_seconds();
   failpoints::disarm_all();
-  const auto stats = server.stats();
-  ModeResult result = finish("pool+faults", elapsed, std::move(latencies), config.requests,
-                             server.session_pool().resident_bytes());
+  const auto stats = fleet.snapshot().at(0);
+  ModeResult result = finish(label, elapsed, std::move(latencies), config.requests,
+                             static_cast<std::size_t>(stats.arena_resident_bytes));
   result.goodput_per_second = static_cast<double>(succeeded.load()) / elapsed;
   result.batches = stats.batches;
   result.max_batch_seen = stats.max_batch_seen;
@@ -316,11 +318,9 @@ void check_bit_identical(const ir::Graph& optimized_b1,
   runtime::Executor naive(optimized_b1, {.use_arena = true});
   const auto want = naive.run({input}).outputs;
 
-  serve::ServerOptions options;
-  options.workers = 1;
-  options.sessions = 1;
-  serve::Server server(model, options);
-  const auto got = server.submit({input}).get();
+  serve::FleetServer fleet({.workers = 1, .sessions_per_model = 1});
+  fleet.install("check", model);
+  const auto got = fleet.submit("check", {input}).get();
   TEMCO_CHECK(got.size() == want.size()) << "serving output arity diverged";
   for (std::size_t o = 0; o < got.size(); ++o) {
     TEMCO_CHECK(max_abs_diff(got[o], want[o]) == 0.0f)
@@ -412,8 +412,11 @@ int main(int argc, char** argv) {
     serve::CompileOptions compile_options;
     compile_options.max_batch = 8;
     const auto model = serve::CompiledModel::compile(decomposed, compile_options);
-    // The naive baseline runs the *same* optimized batch-1 graph the server
-    // compiled, so the comparison isolates serving mechanics.
+    // The pool mode's batch ceiling of 1 is compiled in, like every model's.
+    compile_options.max_batch = 1;
+    const auto single = serve::CompiledModel::compile(decomposed, compile_options);
+    // The naive baseline runs the *same* optimized batch-1 graph the fleet
+    // serves, so the comparison isolates serving mechanics.
     const ir::Graph& optimized_b1 = model->graph(1);
     const Tensor input = temco::bench::random_input(optimized_b1, 1234);
 
@@ -434,16 +437,10 @@ int main(int argc, char** argv) {
     ModelReport report;
     report.model = name;
     report.modes.push_back(best_of([&] { return run_naive(optimized_b1, input, config); }));
+    report.modes.push_back(best_of([&] { return run_fleet(single, input, config, "pool"); }));
     report.modes.push_back(
-        best_of([&] { return run_server(model, input, config, 1, "pool"); }));
-    // Closed-loop clients bound the attainable batch: cap the coalescing
-    // ceiling at the client count so full batches dispatch immediately
-    // instead of idling out the straggler window every time.
-    const std::size_t batch_ceiling = std::min(model->max_batch(), config.clients);
-    report.modes.push_back(best_of(
-        [&] { return run_server(model, input, config, batch_ceiling, "pool+batching"); }));
-    report.modes.push_back(
-        best_of([&] { return run_faulted(model, input, config, batch_ceiling); }));
+        best_of([&] { return run_fleet(model, input, config, "pool+batching"); }));
+    report.modes.push_back(best_of([&] { return run_faulted(model, input, config); }));
 
     const double naive_rps = report.modes[0].requests_per_second;
     for (const ModeResult& mode : report.modes) {

@@ -4,7 +4,7 @@
 // upstream, then optimize (skip-opt, transforms, fusion, DCE), stamp one
 // execution variant per batch size, plan a static arena for each, and pack
 // GEMM weights — and freezes the result as an immutable artifact.  Serving
-// sessions (session.hpp) and the request server (server.hpp) share one
+// sessions (session.hpp) and the fleet server (fleet.hpp) share one
 // artifact read-only across any number of threads: nothing in it is ever
 // mutated after compile() returns, which is the whole thread-safety story.
 //
@@ -41,7 +41,7 @@ struct CompileOptions {
   bool optimize = true;
 
   /// Largest batch any session of this model can execute — the ceiling the
-  /// server's micro-batcher coalesces up to.  One variant is stamped per
+  /// fleet's micro-batcher coalesces up to.  One variant is stamped per
   /// batch size in [1, max_batch].
   std::size_t max_batch = 8;
 

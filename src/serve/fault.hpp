@@ -1,11 +1,9 @@
 // Shared fault classification for the serving layer.
 //
-// One taxonomy, two consumers: Server::execute_batch and
-// FleetServer::execute_batch make identical retry/quarantine/deadline
-// decisions from the same classifier, so a fault class added here changes
-// both execution paths at once — the single-model and fleet servers can
-// never drift apart on what "transient" means.  See DESIGN.md "Fault
-// tolerance" for the full class matrix.
+// One taxonomy, one decision point: FleetServer::execute_batch makes every
+// retry/quarantine/deadline decision from this classifier, so a fault class
+// added here changes the serving path in exactly one place.  See DESIGN.md
+// "Fault tolerance" for the full class matrix.
 #pragma once
 
 #include <exception>

@@ -24,6 +24,11 @@ constexpr std::size_t kControlPeriod = 4;
 constexpr double kArrivalAlpha = 0.1;
 constexpr double kBatchAlpha = 0.3;
 
+std::exception_ptr hang_error() {
+  return std::make_exception_ptr(DeadlineExceededError(
+      "batch exceeded the fleet hang budget; failed fast by the watchdog"));
+}
+
 }  // namespace
 
 FleetServer::FleetServer(FleetOptions options) : options_(options) {
@@ -36,6 +41,8 @@ FleetServer::FleetServer(FleetOptions options) : options_(options) {
       << "max_batch_timeout must be non-negative";
   TEMCO_CHECK_AS(options_.retry_backoff.count() >= 0, InvalidGraphError)
       << "retry_backoff must be non-negative";
+  TEMCO_CHECK_AS(options_.hang_budget.count() >= 0, InvalidGraphError)
+      << "hang_budget must be non-negative";
   TEMCO_CHECK_AS(options_.breaker_threshold == 0 || options_.breaker_recovery >= 1,
                  InvalidGraphError)
       << "breaker_recovery must be at least 1 when the breaker is enabled";
@@ -43,42 +50,49 @@ FleetServer::FleetServer(FleetOptions options) : options_(options) {
       << "fair-share weight must be positive";
 
   worker_pool_ = std::make_unique<ThreadPool>(options_.workers);
-  // Same idiom as Server: the dispatcher is the worker pool's participating
-  // caller, blocking in run() for the fleet's whole life.
+  if (options_.hang_budget.count() > 0) {
+    watchdog_ = std::thread([this] { watchdog_loop(); });
+  }
+  // Workers run as long-lived tasks on a dedicated pool (their kernels then
+  // execute inline within the task, by the nested-run rule); the dispatcher
+  // is the pool's participating caller, blocking in run() for the fleet's
+  // whole life.
   dispatcher_ = std::thread([this] {
     try {
       worker_pool_->run(options_.workers, [this](std::size_t) { worker_loop(); });
     } catch (...) {
       // A worker's scheduling logic itself failed (batch execution errors
-      // are contained in execute_batch).  Stop admission and fail whatever
-      // is still queued anywhere so no future is abandoned.
-      std::vector<std::pair<ModelPtr, std::deque<RequestPtr>>> orphaned;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        for (auto& [name, model] : live_) {
-          if (!model->queue.empty()) orphaned.emplace_back(model, std::move(model->queue));
-          model->queue.clear();
-        }
-        for (const ModelPtr& model : draining_) {
-          if (!model->queue.empty()) orphaned.emplace_back(model, std::move(model->queue));
-          model->queue.clear();
-        }
-      }
-      work_cv_.notify_all();
-      const auto error = std::make_exception_ptr(
-          CancelledError("fleet worker failed before this request ran"));
-      for (auto& [model, queue] : orphaned) {
-        for (const RequestPtr& request : queue) {
-          resolve_error(*model, *request, error, model->metrics->cancelled);
-        }
-        model->metrics->queue_depth.store(0, std::memory_order_relaxed);
-      }
+      // are contained in execute_batch).  Fail whatever is still queued
+      // anywhere so no future is abandoned.
+      stop_admission(/*cancel_queued=*/true, "fleet worker failed before this request ran");
     }
   });
 }
 
 FleetServer::~FleetServer() { shutdown(false); }
+
+void FleetServer::stop_admission(bool cancel_queued, const char* why) {
+  std::vector<std::pair<ModelPtr, std::deque<RequestPtr>>> orphaned;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+    const auto take = [&](const ModelPtr& model) {
+      if (!cancel_queued || model->queue.empty()) return;
+      orphaned.emplace_back(model, std::move(model->queue));
+      model->queue.clear();
+      model->metrics->queue_depth.store(0, std::memory_order_relaxed);
+    };
+    for (auto& [name, model] : live_) take(model);
+    for (const ModelPtr& model : draining_) take(model);
+  }
+  work_cv_.notify_all();
+  const auto error = std::make_exception_ptr(CancelledError(why));
+  for (auto& [model, queue] : orphaned) {
+    for (const RequestPtr& request : queue) {
+      resolve_error(*model, *request, error, model->metrics->cancelled);
+    }
+  }
+}
 
 // ---- install / swap / remove ------------------------------------------------
 
@@ -133,7 +147,7 @@ void FleetServer::retire_locked(const ModelPtr& model) {
   model->retired = true;
   // A generation with accepted work keeps being scheduled until it resolves
   // everything; one with none simply evaporates when the last ModelPtr drops.
-  if (!model->queue.empty() || model->in_flight > 0) draining_.push_back(model);
+  if (!model->idle()) draining_.push_back(model);
 }
 
 void FleetServer::install(const std::string& name, std::shared_ptr<const CompiledModel> model) {
@@ -299,11 +313,12 @@ FleetServer::ModelPtr FleetServer::pick_model(SessionPool::Lease& lease) {
       const auto error = std::make_exception_ptr(ResourceExhaustedError(
           "session pool for '" + model->name +
           "' is defunct: every session was quarantined and no replacement could be constructed"));
-      for (const RequestPtr& request : model->queue) {
+      std::deque<RequestPtr> doomed;
+      doomed.swap(model->queue);
+      model->metrics->queue_depth.store(0, std::memory_order_relaxed);
+      for (const RequestPtr& request : doomed) {
         resolve_error(*model, *request, error, model->metrics->failed);
       }
-      model->queue.clear();
-      model->metrics->queue_depth.store(0, std::memory_order_relaxed);
       return;
     }
     // Weighted fair share: weight x age of the oldest queued request.  Age
@@ -317,8 +332,7 @@ FleetServer::ModelPtr FleetServer::pick_model(SessionPool::Lease& lease) {
 
   // Retired generations whose queues just got defunct-failed may be done.
   const bool had_draining = !draining_.empty();
-  draining_.remove_if(
-      [](const ModelPtr& model) { return model->queue.empty() && model->in_flight == 0; });
+  draining_.remove_if([](const ModelPtr& model) { return model->idle(); });
   if (had_draining && draining_.empty()) drain_cv_.notify_all();
 
   std::sort(candidates.begin(), candidates.end(),
@@ -354,8 +368,9 @@ void FleetServer::worker_loop() {
         if (model != nullptr) break;
         if (stopping_ && total_queued_locked() == 0) return;
         // Queued work exists but every candidate's sessions are busy.
-        // finish_batch notifies when a lease frees; the bounded wait is a
-        // backstop against a notification racing this re-scan.
+        // settle() notifies when a lease frees; the bounded wait is a
+        // backstop against a notification racing this re-scan (and against
+        // leases released outside the fleet).
         work_cv_.wait_for(lock, std::chrono::microseconds(100));
       }
 
@@ -390,37 +405,60 @@ void FleetServer::worker_loop() {
                                         std::memory_order_relaxed);
     }
 
-    const std::size_t claimed = batch.size();
-    BatchOutcome outcome;
-    execute_batch(*model, std::move(lease), batch, degraded, outcome);
-    finish_batch(model, claimed, outcome);
+    Outcome outcome = execute_batch(model, std::move(lease), batch, degraded);
+    settle(model, batch, outcome, /*batch_end=*/true);
   }
 }
 
-void FleetServer::finish_batch(const ModelPtr& model, std::size_t claimed,
-                               const BatchOutcome& outcome) {
-  bool drained = false;
+void FleetServer::settle(const ModelPtr& model, const std::vector<RequestPtr>& requests,
+                         Outcome& outcome, bool batch_end) {
+  // Bookkeeping before fanout: a client that observes its future ready must
+  // also observe its request out of in_flight, the estimates admission
+  // forecasts from, and the breaker state this batch produced.  Otherwise a
+  // strictly sequential client's next submit sees its own finished request
+  // still in flight and can be shed as doomed.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    model->in_flight -= static_cast<std::int64_t>(claimed);
+    model->in_flight -= static_cast<std::int64_t>(requests.size());
     model->metrics->in_flight.store(model->in_flight, std::memory_order_relaxed);
-    if (outcome.executed > 0) {
-      const double per_req = outcome.exec_seconds / static_cast<double>(outcome.executed);
+    if (!outcome.values.empty()) {
+      const double executed = static_cast<double>(requests.size());
+      const double per_req = outcome.exec_seconds / executed;
       model->exec_per_req_hat = model->exec_per_req_hat == 0.0
                                     ? per_req
                                     : (1.0 - kBatchAlpha) * model->exec_per_req_hat +
                                           kBatchAlpha * per_req;
       model->occupancy_hat = model->occupancy_hat == 0.0
-                                 ? static_cast<double>(outcome.executed)
+                                 ? executed
                                  : (1.0 - kBatchAlpha) * model->occupancy_hat +
-                                       kBatchAlpha * static_cast<double>(outcome.executed);
+                                       kBatchAlpha * executed;
+      // End-to-end latencies of the values about to be delivered in time.
+      const auto now = std::chrono::steady_clock::now();
+      for (const RequestPtr& request : requests) {
+        if (request->expired(now)) continue;
+        model->recent_ms[model->recent_count % model->recent_ms.size()] =
+            seconds_between(request->submitted_at, now) * 1e3;
+        ++model->recent_count;
+      }
     }
-    for (const double ms : outcome.latencies_ms) {
-      model->recent_ms[model->recent_count % model->recent_ms.size()] = ms;
-      ++model->recent_count;
+    breaker_locked(*model, outcome.health);
+    if (batch_end) adapt_locked(*model);
+    ++model->fanouts;
+  }
+
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    if (outcome.error == nullptr) {
+      resolve_value(*model, *requests[r], std::move(outcome.values[r]));
+    } else {
+      resolve_error(*model, *requests[r], outcome.error, *outcome.counter);
     }
-    adapt_locked(*model);
-    if (model->retired && model->queue.empty() && model->in_flight == 0) {
+  }
+
+  bool drained = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --model->fanouts;
+    if (model->retired && model->idle()) {
       draining_.remove(model);
       drained = draining_.empty();
     }
@@ -500,7 +538,7 @@ void FleetServer::adapt_locked(Model& model) {
   }
 }
 
-// ---- execution (ported from Server::execute_batch, per-model state) ---------
+// ---- execution ----------------------------------------------------------------
 
 bool FleetServer::resolve_value(Model& model, Request& request, std::vector<Tensor> value) {
   if (!request.claim()) return false;
@@ -532,31 +570,19 @@ bool FleetServer::resolve_error(Model& model, Request& request, const std::excep
   return true;
 }
 
-void FleetServer::fail_batch(Model& model, std::vector<RequestPtr>& batch,
-                             const std::exception_ptr& error) {
-  for (const RequestPtr& request : batch) {
-    resolve_error(model, *request, error, model.metrics->failed);
-  }
-  batch.clear();
-}
-
-void FleetServer::sweep_expired(Model& model, std::vector<RequestPtr>& batch) {
+void FleetServer::sweep_expired(const ModelPtr& model, std::vector<RequestPtr>& batch) {
   const auto now = std::chrono::steady_clock::now();
-  std::exception_ptr error;
-  std::vector<RequestPtr> keep;
-  keep.reserve(batch.size());
-  for (RequestPtr& request : batch) {
-    if (request->expired(now)) {
-      if (error == nullptr) {
-        error = std::make_exception_ptr(
-            DeadlineExceededError("request deadline expired before execution"));
-      }
-      resolve_error(model, *request, error, model.metrics->deadline_expired);
-    } else {
-      keep.push_back(std::move(request));
-    }
-  }
-  batch.swap(keep);
+  const auto live = std::stable_partition(
+      batch.begin(), batch.end(), [now](const RequestPtr& request) { return !request->expired(now); });
+  if (live == batch.end()) return;
+  const std::vector<RequestPtr> expired(std::make_move_iterator(live),
+                                        std::make_move_iterator(batch.end()));
+  batch.erase(live, batch.end());
+  Outcome outcome;
+  outcome.error = std::make_exception_ptr(
+      DeadlineExceededError("request deadline expired before execution"));
+  outcome.counter = &model->metrics->deadline_expired;
+  settle(model, expired, outcome, /*batch_end=*/false);
 }
 
 void FleetServer::backoff_sleep(std::size_t attempt) {
@@ -577,24 +603,21 @@ void FleetServer::backoff_sleep(std::size_t attempt) {
   work_cv_.wait_for(lock, delay, [this] { return stopping_; });
 }
 
-void FleetServer::breaker_failure(Model& model) {
-  if (options_.breaker_threshold == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++model.consecutive_failures;
-  model.probe_successes = 0;
-  if (!model.degraded.load(std::memory_order_relaxed) &&
-      model.consecutive_failures >= options_.breaker_threshold) {
-    model.degraded.store(true, std::memory_order_relaxed);
-    model.metrics->breaker_trips.fetch_add(1, std::memory_order_relaxed);
-    TEMCO_WARN() << "circuit breaker tripped for '" << model.name << "' after "
-                 << model.consecutive_failures
-                 << " consecutive batch failures; degrading to singleton batches";
+void FleetServer::breaker_locked(Model& model, Health health) {
+  if (options_.breaker_threshold == 0 || health == Health::kNeutral) return;
+  if (health == Health::kFailure) {
+    ++model.consecutive_failures;
+    model.probe_successes = 0;
+    if (!model.degraded.load(std::memory_order_relaxed) &&
+        model.consecutive_failures >= options_.breaker_threshold) {
+      model.degraded.store(true, std::memory_order_relaxed);
+      model.metrics->breaker_trips.fetch_add(1, std::memory_order_relaxed);
+      TEMCO_WARN() << "circuit breaker tripped for '" << model.name << "' after "
+                   << model.consecutive_failures
+                   << " consecutive batch failures; degrading to singleton batches";
+    }
+    return;
   }
-}
-
-void FleetServer::breaker_success(Model& model) {
-  if (options_.breaker_threshold == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
   model.consecutive_failures = 0;
   if (!model.degraded.load(std::memory_order_relaxed)) return;
   if (++model.probe_successes >= options_.breaker_recovery) {
@@ -606,28 +629,78 @@ void FleetServer::breaker_success(Model& model) {
   }
 }
 
-void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
-                                std::vector<RequestPtr>& batch, bool degraded,
-                                BatchOutcome& outcome) {
+FleetServer::WatchHandle FleetServer::watch_begin(Model& model,
+                                                  const std::vector<RequestPtr>& batch,
+                                                  support::CancelToken* token) {
+  if (!watchdog_.joinable()) return std::nullopt;
+  std::lock_guard<std::mutex> lock(watch_mutex_);
+  watched_.push_back(Inflight{&model, std::chrono::steady_clock::now(), token, batch, false});
+  return std::prev(watched_.end());
+}
+
+bool FleetServer::watch_end(WatchHandle& handle) {
+  if (!handle.has_value()) return false;
+  std::lock_guard<std::mutex> lock(watch_mutex_);
+  const bool flagged = (*handle)->flagged;
+  watched_.erase(*handle);
+  handle.reset();
+  return flagged;
+}
+
+void FleetServer::watchdog_loop() {
+  const auto interval = std::max(std::chrono::milliseconds(1), options_.hang_budget / 10);
+  std::unique_lock<std::mutex> lock(watch_mutex_);
+  for (;;) {
+    watch_cv_.wait_for(lock, interval, [this] { return watchdog_stop_; });
+    if (watchdog_stop_) return;
+    const auto now = std::chrono::steady_clock::now();
+    for (Inflight& entry : watched_) {
+      if (entry.flagged || now - entry.started < options_.hang_budget) continue;
+      // Fail fast: clients get their answer now; the stuck run is cancelled
+      // via the session token and unwinds at its next poll point.  The
+      // worker discovers the flag at watch_end and discards any late result.
+      entry.flagged = true;
+      entry.model->metrics->hung_batches.fetch_add(1, std::memory_order_relaxed);
+      entry.token->cancel();
+      const std::exception_ptr error = hang_error();
+      for (const RequestPtr& request : entry.requests) {
+        resolve_error(*entry.model, *request, error, entry.model->metrics->hung_requests);
+      }
+      TEMCO_WARN() << "watchdog flagged a batch of " << entry.requests.size() << " '"
+                   << entry.model->name << "' requests over the hang budget";
+    }
+  }
+}
+
+FleetServer::Outcome FleetServer::execute_batch(const ModelPtr& model_ptr,
+                                                SessionPool::Lease lease,
+                                                std::vector<RequestPtr>& batch, bool degraded) {
+  Model& model = *model_ptr;
   metrics::ModelMetrics& met = *model.metrics;
+  const auto failure = [](std::exception_ptr error, std::atomic<std::uint64_t>& counter,
+                          Health health) {
+    Outcome outcome;
+    outcome.error = std::move(error);
+    outcome.counter = &counter;
+    outcome.health = health;
+    return outcome;
+  };
   if (degraded) met.degraded_batches.fetch_add(1, std::memory_order_relaxed);
   std::size_t attempt = 0;
   for (;;) {
     // Deadline check at batch formation (and again before every retry —
     // backoff may have outlived someone's SLO).
-    sweep_expired(model, batch);
-    if (batch.empty()) return;
+    sweep_expired(model_ptr, batch);
+    if (batch.empty()) return {};
 
     if (!lease) {
       // A retry released its session; get another (blocking is fine here —
       // the retry path is rare and this model's pool is the right thing to
-      // wait on).
+      // wait on).  Failure means the pool is defunct.
       try {
         lease = model.pool->acquire();
       } catch (...) {
-        breaker_failure(model);
-        fail_batch(model, batch, std::current_exception());
-        return;
+        return failure(std::current_exception(), met.failed, Health::kFailure);
       }
     }
 
@@ -638,6 +711,7 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
     auto deadline = std::chrono::steady_clock::time_point::max();
     for (const RequestPtr& request : batch) deadline = std::min(deadline, request->deadline);
     if (deadline != std::chrono::steady_clock::time_point::max()) token.set_deadline(deadline);
+    WatchHandle watch = watch_begin(model, batch, &token);
 
     try {
       std::vector<const std::vector<Tensor>*> requests;
@@ -647,25 +721,22 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
       std::vector<std::vector<Tensor>> responses =
           lease->run_batch(requests, degraded ? RunMode::kDegraded : RunMode::kNormal);
       const double exec_s = seconds_between(started, std::chrono::steady_clock::now());
+      const bool hung = watch_end(watch);
       token.reset();
       lease.release();  // free the session before the (cheap) promise fanout
-
-      met.record_batch(batch.size(), exec_s);
-      outcome.exec_seconds = exec_s;
-      outcome.executed = batch.size();
-      breaker_success(model);
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        const auto& request = batch[r];
-        const double ms = seconds_between(request->submitted_at,
-                                          std::chrono::steady_clock::now()) *
-                          1e3;
-        if (resolve_value(model, *request, std::move(responses[r]))) {
-          outcome.latencies_ms.push_back(ms);
-        }
+      if (hung) {
+        // Finished after the watchdog already failed these futures: clients
+        // were told the batch hung, so the late result is discarded.
+        return failure(hang_error(), met.hung_requests, Health::kFailure);
       }
-      batch.clear();
-      return;
+      met.record_batch(batch.size(), exec_s);
+      Outcome outcome;
+      outcome.values = std::move(responses);
+      outcome.exec_seconds = exec_s;
+      outcome.health = Health::kSuccess;
+      return outcome;
     } catch (...) {
+      const bool hung = watch_end(watch);
       token.reset();
       const std::exception_ptr error = std::current_exception();
       const FaultClass fault = classify_fault(error);
@@ -680,23 +751,17 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
         lease.release();
       }
 
+      // The watchdog already resolved these futures as hung; its cancel is
+      // usually what unwound the run.
+      if (hung) return failure(hang_error(), met.hung_requests, Health::kFailure);
+
       switch (fault) {
-        case FaultClass::kDeadline: {
+        case FaultClass::kDeadline:
           // The batch outlived its SLO.  That is the client's answer, not a
-          // server-health signal: no breaker failure, no retry.
-          for (const RequestPtr& request : batch) {
-            resolve_error(model, *request, error, met.deadline_expired);
-          }
-          batch.clear();
-          return;
-        }
-        case FaultClass::kCancelled: {
-          for (const RequestPtr& request : batch) {
-            resolve_error(model, *request, error, met.cancelled);
-          }
-          batch.clear();
-          return;
-        }
+          // model-health signal: no breaker failure, no retry.
+          return failure(error, met.deadline_expired, Health::kNeutral);
+        case FaultClass::kCancelled:
+          return failure(error, met.cancelled, Health::kNeutral);
         case FaultClass::kTransient: {
           bool stopping;
           {
@@ -718,9 +783,7 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
 
       // Fault isolation: exactly this batch's requests observe the error;
       // the worker and every other model stay serviceable.
-      breaker_failure(model);
-      fail_batch(model, batch, error);
-      return;
+      return failure(error, met.failed, Health::kFailure);
     }
   }
 }
@@ -728,34 +791,24 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
 // ---- shutdown / introspection -----------------------------------------------
 
 void FleetServer::shutdown(bool drain) {
+  // Serialize whole shutdowns: the second caller waits for the first to
+  // finish joining, then sees joined_ and returns.
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  std::vector<std::pair<ModelPtr, std::deque<RequestPtr>>> orphaned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (joined_) return;
-    stopping_ = true;
-    if (!drain) {
-      for (auto& [name, model] : live_) {
-        if (!model->queue.empty()) orphaned.emplace_back(model, std::move(model->queue));
-        model->queue.clear();
-      }
-      for (const ModelPtr& model : draining_) {
-        if (!model->queue.empty()) orphaned.emplace_back(model, std::move(model->queue));
-        model->queue.clear();
-      }
-    }
   }
-  work_cv_.notify_all();
-  const auto error = std::make_exception_ptr(
-      CancelledError("request cancelled: fleet shut down before it ran"));
-  for (auto& [model, queue] : orphaned) {
-    for (const RequestPtr& request : queue) {
-      resolve_error(*model, *request, error, model->metrics->cancelled);
-    }
-    model->metrics->queue_depth.store(0, std::memory_order_relaxed);
-  }
+  stop_admission(/*cancel_queued=*/!drain, "request cancelled: fleet shut down before it ran");
   if (dispatcher_.joinable()) dispatcher_.join();
   worker_pool_->shutdown();
+  if (watchdog_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(watch_mutex_);
+      watchdog_stop_ = true;
+    }
+    watch_cv_.notify_all();
+    watchdog_.join();
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     joined_ = true;
@@ -780,6 +833,15 @@ std::shared_ptr<const CompiledModel> FleetServer::model(const std::string& name)
   TEMCO_CHECK_AS(it != live_.end(), InvalidGraphError)
       << "no model installed under '" << name << "'";
   return it->second->compiled;
+}
+
+std::shared_ptr<SessionPool> FleetServer::session_pool(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = live_.find(name);
+  TEMCO_CHECK_AS(it != live_.end(), InvalidGraphError)
+      << "no model installed under '" << name << "'";
+  // Aliasing pointer: shares ownership of the generation, points at its pool.
+  return std::shared_ptr<SessionPool>(it->second, it->second->pool.get());
 }
 
 std::vector<metrics::ModelSnapshot> FleetServer::snapshot() const {

@@ -1,67 +1,49 @@
-// Fleet server: many compiled models behind one shared worker pool, with
-// weighted fair-share scheduling, SLO-aware admission, and per-model
-// adaptive micro-batching.
+// Fleet server: the serving engine.  Any number of compiled models behind
+// one shared worker pool, with weighted fair-share scheduling, SLO-aware
+// admission, per-model adaptive micro-batching, and the fault machinery.
+// A single-model deployment is one install().  DESIGN.md "Serving runtime",
+// "Fault tolerance", and "Fleet serving" give the full contract.
 //
-// Why a fleet instead of N independent Servers: TeMCO's compressed slabs
-// make model *residency* cheap, but N static servers still partition the
-// CPU — each model owns worker threads that idle when its traffic lulls
-// while another model's queue backs up.  The fleet pools the workers and
-// lets instantaneous demand, not a static partition, decide where they go.
+// Life of a request: submit() validates it against the model's compatibility
+// predicate and enqueues it, throwing typed errors instead of blocking when
+// the fleet is stopping, the queue is full, or the deadline cannot be met.
+// An idle worker scores every model with queued work as
+// weight x age(oldest queued request) and serves the best one that has a
+// free session — a request is only ever claimed together with a session, so
+// a slow model never holds more workers than sessions.  The worker
+// coalesces a micro-batch under the model's adaptive cap and straggler
+// timeout, executes the batch-k variant once, and fulfills each future with
+// its own slice of the outputs — bit-identical to running it alone.
 //
-// Scheduling (weighted fair share): an idle worker scores every model with
-// a non-empty queue as  weight x age(oldest queued request)  and serves the
-// highest score whose session pool has a free session.  Age keeps any
-// backlogged model's score growing without bound, so no model starves while
-// another has headroom; weight sets the *ratio* at which two backlogged
-// models are served, not an absolute priority.  Models whose sessions are
-// all busy are skipped, never waited on — a slow model cannot capture
-// workers beyond its own session count (head-of-line isolation).
+// Admission: submit() forecasts the queue wait as
+// (queued + in_flight) x exec_per_request / lanes and sheds the request with
+// SloUnmeetableError when that would spend more than half its deadline or
+// the model's p99 target.  Strict SLO: a value that would resolve past its
+// deadline is converted to DeadlineExceededError (counted as
+// value_past_deadline), so an accepted request never yields a late answer.
 //
-// Adaptive micro-batching: each model's batch ceiling and straggler timeout
-// are tuned online, per control period, from three observed signals —
-//  - arrival rate (EWMA over submit inter-arrival times),
-//  - per-request execution time (EWMA over batch runs),
-//  - recent end-to-end p99 (ring of the last completions).
-// The controller grows the ceiling toward the demand a batch can absorb
-// (Little's law: lambda x exec), clamps it so a full batch's execution fits
-// inside half the latency SLO, halves it (and zeroes the timeout) whenever
-// the observed p99 breaches the SLO, and derives the straggler timeout from
-// remaining SLO slack (or expected fill time when the model has no SLO).
+// Faults, per model: deadlines are enforced at admission, before every
+// execution attempt, and inside the Executor via the session's cancel
+// token; transient faults retry with jittered exponential backoff;
+// corrupting faults quarantine the session; a circuit breaker degrades the
+// model to singleton batches on the hardened executor; with a nonzero
+// hang_budget a watchdog fails a batch that outlives it fast and cancels
+// the stuck run.  Fault classes come from serve/fault.hpp.
 //
-// Admission control: submit() predicts this request's queue wait as
-// (queued + in_flight) x exec_per_request / lanes and rejects with
-// SloUnmeetableError — at submit time, queue capacity notwithstanding —
-// when that wait would consume more than HALF the request's remaining
-// deadline or the model's p99 target.  Half, not all: a request admitted
-// after spending its whole budget in line can only ever finish at the
-// deadline's knife edge, where batching windows, execution, and fanout
-// jitter tip it late — queueing may spend half the budget, the rest stays
-// reserved for actually serving the answer.  Under sustained overload this
-// is the difference between shedding doomed work at submit (microseconds)
-// and serving answers nobody can use (a full service time each).  Accepted
-// requests obey the strict-SLO rule: a value that
-// would resolve past its deadline is converted to DeadlineExceededError
-// before the promise fanout, so an accepted request NEVER yields a usable
-// answer late (metrics count such conversions as value_past_deadline; the
-// bench asserts the count stays 0 when admission is doing its job).
-//
-// Fault tolerance is the Server's machinery, per model: transient faults
-// retry with jittered exponential backoff, corrupting faults quarantine the
-// session, a per-model circuit breaker degrades that model (and only that
-// model) to singleton batches on the hardened executor.  Fault classes come
-// from serve/fault.hpp, shared with Server, so the two paths cannot drift.
+// Bookkeeping before fanout: a batch's in_flight decrement, its execution
+// and occupancy estimates, its breaker signal, and its controller step are
+// committed under the fleet lock before any of its promises resolves, so a
+// client that observes its future ready observes its request counted and
+// out of flight — admission never sheds a sequential client over its own
+// finished request.  Only the watchdog resolves ahead of bookkeeping:
+// failing fast is its point, and a hung batch leaves in_flight when its
+// worker comes back.  Every accepted request resolves exactly once (an
+// atomic per-request claim arbitrates workers, watchdog, and shutdown).
 //
 // Hot swap: install() over a live name (or swap(), which insists on one)
 // builds the replacement pool outside the fleet lock, then atomically
-// redirects the name.  The displaced generation keeps its queue and keeps
-// being scheduled — fair share and all — until every request it accepted
-// has resolved, then evaporates; nothing is dropped and no submit ever
-// blocks on a deploy.  wait_drained() lets tests and deploy scripts pend on
-// that evaporation.
-//
-// Observability: every model owns a metrics::ModelMetrics (lock-free
-// recording); snapshot()/metrics_json() export counters, gauges, latency
-// histograms, and the adaptive-batcher state in one consistent-enough read.
+// redirects the name.  The displaced generation keeps being scheduled until
+// everything it accepted has resolved; wait_drained() pends on that.
 #pragma once
 
 #include <array>
@@ -83,10 +65,21 @@
 
 #include "parallel/thread_pool.hpp"
 #include "serve/metrics.hpp"
-#include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "support/cancel.hpp"
 
 namespace temco::serve {
+
+/// Per-request submit-time options.
+struct SubmitOptions {
+  /// Absolute completion deadline; time_point::max() (default) means none.
+  /// An already-expired deadline is rejected at admission.
+  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
+
+  /// Convenience: nonzero sets `deadline = now + timeout` at submit time
+  /// (the earlier of the two wins if both are given).
+  std::chrono::microseconds timeout{0};
+};
 
 struct FleetOptions {
   /// Latency SLO and scheduling weight for one model.
@@ -123,11 +116,30 @@ struct FleetOptions {
   /// off reproduces plain bounded-queue admission.
   bool slo_admission = true;
 
-  // ---- fault machinery, per model (same semantics as ServerOptions) ---------
+  // ---- fault machinery, per model ---------------------------------------------
+
+  /// Extra attempts granted to a batch whose failure classified transient
+  /// (TransientFaultError, ResourceExhaustedError).  0 disables retry.
   std::size_t max_retries = 2;
+
+  /// Base backoff before retry attempt a: base * 2^(a-1), scaled by a
+  /// uniform jitter in [0.5, 1.5) so synchronized failures don't retry in
+  /// lockstep.  0 retries immediately (what deterministic tests use).
   std::chrono::microseconds retry_backoff{200};
+
+  /// Consecutive batch failures that trip a model's circuit breaker into
+  /// degraded mode (singleton batches, hardened serial executor).  0 disables.
   std::size_t breaker_threshold = 3;
+
+  /// Consecutive degraded-mode successes before normal batching restores.
   std::size_t breaker_recovery = 8;
+
+  /// Wall-clock budget one executing batch may spend before the watchdog
+  /// fails its futures fast (DeadlineExceededError) and cancels the run.
+  /// The watchdog polls every hang_budget / 10 (at least 1 ms), so a hung
+  /// batch is flagged within 1.1x the budget.  0 (default) starts no
+  /// watchdog thread.
+  std::chrono::milliseconds hang_budget{0};
 };
 
 /// Many models, one worker pool.  See the file comment for the contract.
@@ -186,6 +198,12 @@ class FleetServer {
   /// The artifact currently serving `name`; throws InvalidGraphError if none.
   std::shared_ptr<const CompiledModel> model(const std::string& name) const;
 
+  /// The session pool of the generation currently serving `name` (throws
+  /// InvalidGraphError if none) — exposed so tests can stall a model by
+  /// holding its leases.  The pointer keeps that generation's pool alive
+  /// across a later swap.
+  std::shared_ptr<SessionPool> session_pool(const std::string& name) const;
+
   /// Frozen metrics for every live model, one ModelSnapshot each.
   std::vector<metrics::ModelSnapshot> snapshot() const;
 
@@ -198,6 +216,8 @@ class FleetServer {
     std::promise<std::vector<Tensor>> promise;
     std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
     std::chrono::steady_clock::time_point submitted_at;
+    /// Exactly-once resolution claim: whoever flips it owns the promise.
+    /// Workers, the watchdog, and shutdown all race through here safely.
     std::atomic<bool> resolved{false};
 
     bool claim() {
@@ -225,7 +245,12 @@ class FleetServer {
 
     std::deque<RequestPtr> queue;
     std::int64_t in_flight = 0;
-    bool retired = false;  ///< swapped out or removed; drains, takes no submits
+    std::size_t fanouts = 0;  ///< settles between their bookkeeping and fanout end
+    bool retired = false;     ///< swapped out or removed; drains, takes no submits
+
+    /// Nothing queued, claimed, or still resolving: a retired generation
+    /// in this state is fully drained.
+    bool idle() const { return queue.empty() && in_flight == 0 && fanouts == 0; }
 
     // ---- adaptive micro-batcher state --------------------------------------
     std::size_t batch_cap = 1;
@@ -245,35 +270,62 @@ class FleetServer {
   };
   using ModelPtr = std::shared_ptr<Model>;
 
-  /// What one execute_batch pass feeds back into the adaptive controller.
-  struct BatchOutcome {
-    std::vector<double> latencies_ms;  ///< end-to-end, values delivered in time
-    double exec_seconds = 0.0;         ///< successful run's wall time
-    std::size_t executed = 0;          ///< its batch size (0: batch never ran)
+  /// What a batch's end means for the model's circuit breaker.
+  enum class Health { kNeutral, kSuccess, kFailure };
+
+  /// How a set of claimed requests resolves: one value per request, or one
+  /// typed error landing in `counter`.  execute_batch produces it; settle
+  /// commits its bookkeeping and then fans it out.
+  struct Outcome {
+    std::vector<std::vector<Tensor>> values;  ///< on success, one per request
+    std::exception_ptr error;                 ///< otherwise, for every request
+    std::atomic<std::uint64_t>* counter = nullptr;  ///< the metric `error` lands in
+    double exec_seconds = 0.0;                ///< the successful run's wall time
+    Health health = Health::kNeutral;
   };
+
+  /// One batch attempt currently executing, registered with the watchdog.
+  struct Inflight {
+    Model* model = nullptr;  ///< kept alive by the executing worker's ModelPtr
+    std::chrono::steady_clock::time_point started;
+    support::CancelToken* token = nullptr;
+    std::vector<RequestPtr> requests;
+    bool flagged = false;
+  };
+  using WatchHandle = std::optional<std::list<Inflight>::iterator>;
 
   void install_impl(const std::string& name, std::shared_ptr<const CompiledModel> compiled,
                     std::optional<FleetOptions::ModelSlo> slo, bool must_exist);
   void retire_locked(const ModelPtr& model);
+  /// Closes admission and, with `cancel_queued`, fails every still-queued
+  /// request of every generation with CancelledError(`why`).
+  void stop_admission(bool cancel_queued, const char* why);
 
   void worker_loop();
   /// Highest-score runnable model (non-empty queue + free session), with its
   /// lease.  Returns nullptr when nothing is runnable right now.
   ModelPtr pick_model(SessionPool::Lease& lease);
-  void execute_batch(Model& model, SessionPool::Lease lease, std::vector<RequestPtr>& batch,
-                     bool degraded, BatchOutcome& outcome);
-  void finish_batch(const ModelPtr& model, std::size_t claimed, const BatchOutcome& outcome);
+  Outcome execute_batch(const ModelPtr& model, SessionPool::Lease lease,
+                        std::vector<RequestPtr>& batch, bool degraded);
+  /// Resolves claimed `requests` with `outcome`: commits the in_flight
+  /// decrement, the estimates, the breaker signal, and (at `batch_end`) the
+  /// controller step under the fleet lock, then fans out the promises.
+  void settle(const ModelPtr& model, const std::vector<RequestPtr>& requests,
+              Outcome& outcome, bool batch_end);
+  void sweep_expired(const ModelPtr& model, std::vector<RequestPtr>& batch);
   void adapt_locked(Model& model);
+  void breaker_locked(Model& model, Health health);
 
   bool resolve_value(Model& model, Request& request, std::vector<Tensor> value);
   bool resolve_error(Model& model, Request& request, const std::exception_ptr& error,
                      std::atomic<std::uint64_t>& counter);
-  void fail_batch(Model& model, std::vector<RequestPtr>& batch, const std::exception_ptr& error);
-  void sweep_expired(Model& model, std::vector<RequestPtr>& batch);
   void backoff_sleep(std::size_t attempt);
-  void breaker_failure(Model& model);
-  void breaker_success(Model& model);
   std::size_t total_queued_locked() const;
+
+  WatchHandle watch_begin(Model& model, const std::vector<RequestPtr>& batch,
+                          support::CancelToken* token);
+  bool watch_end(WatchHandle& handle);
+  void watchdog_loop();
 
   FleetOptions options_;
 
@@ -287,11 +339,19 @@ class FleetServer {
   bool joined_ = false;                   ///< guarded by mutex_
   std::mutex shutdown_mutex_;
 
-  std::unique_ptr<ThreadPool> worker_pool_;
-  std::thread dispatcher_;
-
   std::mutex rng_mutex_;
   std::mt19937_64 rng_{0xf1ee7c0de5e17ull};  ///< guarded by rng_mutex_
+
+  // ---- watchdog (active only with a nonzero hang_budget) --------------------
+  std::mutex watch_mutex_;
+  std::condition_variable watch_cv_;
+  std::list<Inflight> watched_;  ///< guarded by watch_mutex_
+  bool watchdog_stop_ = false;   ///< guarded by watch_mutex_
+  std::thread watchdog_;
+
+  // Threads last: they use every member above.
+  std::unique_ptr<ThreadPool> worker_pool_;
+  std::thread dispatcher_;
 };
 
 }  // namespace temco::serve

@@ -4,8 +4,9 @@
 // failpoints::list(), so a new Site added anywhere in the tree is swept
 // automatically — the harness arms the site at a seeded-random skip/hit
 // count (faults land mid-stream, not always on first touch) and drives a
-// fresh Server with concurrent clients, mixed deadlines, retry, breaker,
-// quarantine, and watchdog all enabled.  The invariants, per site:
+// fresh one-model FleetServer with concurrent clients, mixed deadlines,
+// retry, breaker, quarantine, and watchdog all enabled.  The invariants, per
+// site:
 //
 //   1. No crash, no hang: every future becomes ready within a bound (the
 //      asan/tsan CI legs add the no-leak / no-race half of this).
@@ -18,8 +19,8 @@
 //   4. Steady state: after disarming, the pool is full again (quarantined
 //      sessions replaced, leases returned) and a clean probe request
 //      matches the reference bitwise.
-//   5. Accounting: accepted requests partition exactly into the terminal
-//      outcome counters.
+//   5. Accounting: once drained, accepted requests partition exactly into
+//      the terminal outcome counters and nothing is left in flight.
 //
 // Offline sites (arena.packing_overflow, scheduler.drop_node,
 // executor.slab_oom) cannot fire under serving load — plans, schedules, and
@@ -44,7 +45,7 @@
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
 #include "runtime/scheduler.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "support/chaos.hpp"
 #include "support/failpoint.hpp"
@@ -56,8 +57,8 @@ namespace {
 using namespace std::chrono_literals;
 using serve::CompiledModel;
 using serve::CompileOptions;
-using serve::Server;
-using serve::ServerOptions;
+using serve::FleetOptions;
+using serve::FleetServer;
 using serve::Session;
 using serve::SubmitOptions;
 
@@ -145,18 +146,18 @@ TEST(ChaosSweepTest, EveryFailpointUnderConcurrentServingLoad) {
     const bool check_bitwise = plan.site != "gemm.dispatch";
 
     {
-      ServerOptions options;
+      FleetOptions options;
       options.workers = 2;
-      options.sessions = 2;
-      options.max_batch = 4;
-      options.batch_timeout = 0us;
+      options.sessions_per_model = 2;
+      options.max_batch_timeout = 0us;
+      options.slo_admission = false;  // plain bounded-queue admission: faults, not shedding
       options.max_retries = 2;
       options.retry_backoff = 0us;
       options.breaker_threshold = 2;
       options.breaker_recovery = 4;
       options.hang_budget = 250ms;  // rescues serve.wedge_batch
-      options.watchdog_interval = 2ms;
-      Server server(model, options);
+      FleetServer fleet(options);
+      fleet.install("chaos", model);
 
       failpoints::arm_after(plan.site, plan.skips, plan.count);
 
@@ -182,7 +183,7 @@ TEST(ChaosSweepTest, EveryFailpointUnderConcurrentServingLoad) {
               // A slice of the load carries tight deadlines so expiry paths
               // (admission, batch formation, in-executor) see chaos traffic.
               if ((t + i) % 6 == 5) submit.timeout = 2ms;
-              auto future = server.submit(payloads[result.payload], submit);
+              auto future = fleet.submit("chaos", payloads[result.payload], submit);
               if (future.wait_for(120s) != std::future_status::ready) {
                 abandoned.fetch_add(1, std::memory_order_relaxed);
                 continue;
@@ -233,13 +234,12 @@ TEST(ChaosSweepTest, EveryFailpointUnderConcurrentServingLoad) {
 
       // Steady state: the pool refills (quarantined sessions replaced,
       // leases home) and a clean probe matches the reference bitwise.
-      const bool pool_ok = eventually([&] {
-        return server.session_pool().size() > 0 &&
-               server.session_pool().available() == server.session_pool().size();
-      });
+      const auto pool = fleet.session_pool("chaos");
+      const bool pool_ok =
+          eventually([&] { return pool->size() > 0 && pool->available() == pool->size(); });
       EXPECT_TRUE(pool_ok) << "pool did not return to steady state after disarm";
       bool probe_ok = false;
-      auto probe = server.submit(payloads[0]);
+      auto probe = fleet.submit("chaos", payloads[0]);
       if (probe.wait_for(120s) == std::future_status::ready) {
         try {
           probe_ok = bitwise_equal(probe.get(), references[0]);
@@ -250,11 +250,12 @@ TEST(ChaosSweepTest, EveryFailpointUnderConcurrentServingLoad) {
       EXPECT_TRUE(probe_ok) << "clean probe after disarm failed or diverged";
       report.steady_state = pool_ok && probe_ok;
 
-      server.shutdown(true);
-      const auto stats = server.stats();
+      fleet.shutdown(true);
+      const auto stats = fleet.snapshot().at(0);
       EXPECT_EQ(stats.accepted, stats.completed + stats.failed + stats.cancelled +
                                     stats.deadline_expired + stats.hung_requests)
           << "accepted requests must partition into the terminal outcome counters";
+      EXPECT_EQ(stats.in_flight, 0);
       EXPECT_EQ(report.foreign(), 0)
           << "an exception outside the temco::Error taxonomy escaped to a client";
     }

@@ -5,9 +5,10 @@
 //
 // Determinism without sleeps-as-synchronization, same idiom as
 // tests/test_serve.cpp: failpoints inject the faults at exact hit counts,
-// the single worker is stalled at a known point by holding the pool's only
-// session lease, in_flight/stats counters are the cross-thread sync points,
-// and eventually() is a bounded observation spin, never a schedule.
+// the single worker is stalled by holding the pool's only session lease (so
+// submits stay queued), snapshot counters are the cross-thread sync points,
+// and eventually() is a bounded observation spin, never a schedule.  Every
+// test that serves ends by checking the resolution partition.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +21,7 @@
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "support/cancel.hpp"
 #include "support/failpoint.hpp"
@@ -32,8 +33,8 @@ namespace {
 using namespace std::chrono_literals;
 using serve::CompiledModel;
 using serve::CompileOptions;
-using serve::Server;
-using serve::ServerOptions;
+using serve::FleetOptions;
+using serve::FleetServer;
 using serve::Session;
 using serve::SessionPool;
 using serve::SubmitOptions;
@@ -78,7 +79,7 @@ std::vector<Tensor> random_request(const CompiledModel& model, Rng& rng) {
   return inputs;
 }
 
-/// Bounded spin-wait for cross-thread state the server exposes via stats.
+/// Bounded spin-wait for cross-thread state the fleet exposes via snapshots.
 bool eventually(const std::function<bool()>& predicate, std::chrono::milliseconds limit = 10s) {
   const auto deadline = std::chrono::steady_clock::now() + limit;
   while (!predicate()) {
@@ -100,25 +101,44 @@ void expect_bitwise_equal(const std::vector<Tensor>& got, const std::vector<Tens
 
 /// Once drained, every accepted request must have resolved into exactly one
 /// terminal bucket.
-void expect_resolution_partition(const serve::ServerStats& stats) {
+void expect_resolution_partition(const serve::metrics::ModelSnapshot& stats) {
   EXPECT_EQ(stats.accepted, stats.completed + stats.failed + stats.cancelled +
                                 stats.deadline_expired + stats.hung_requests)
       << "accepted requests must partition into the terminal outcome counters";
-  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.in_flight, 0);
 }
 
-/// Server options tuned for deterministic single-worker tests: no batching
+/// Fleet options tuned for deterministic single-worker tests: no batching
 /// window, no backoff naps, breaker off unless the test turns it on.
-ServerOptions strict_options() {
-  ServerOptions options;
+FleetOptions strict_options() {
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 2;
-  options.batch_timeout = 0us;
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 0us;
   options.retry_backoff = 0us;
   options.breaker_threshold = 0;
   return options;
 }
+
+/// One model served by a fleet, addressed without naming it at every call.
+class OneModel {
+ public:
+  OneModel(std::shared_ptr<const CompiledModel> model, FleetOptions options)
+      : fleet_(options) {
+    fleet_.install(kName, std::move(model));
+  }
+
+  std::future<std::vector<Tensor>> submit(std::vector<Tensor> inputs, SubmitOptions options = {}) {
+    return fleet_.submit(kName, std::move(inputs), options);
+  }
+  serve::metrics::ModelSnapshot stats() const { return fleet_.snapshot().at(0); }
+  std::shared_ptr<SessionPool> session_pool() const { return fleet_.session_pool(kName); }
+  void shutdown(bool drain) { fleet_.shutdown(drain); }
+
+ private:
+  static constexpr const char* kName = "model";
+  FleetServer fleet_;
+};
 
 class FaultToleranceTest : public ::testing::Test {
  protected:
@@ -137,28 +157,30 @@ using ShutdownStressTest = FaultToleranceTest;
 
 TEST_F(DeadlineTest, ExpiredAtAdmissionIsRejectedTyped) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
+  OneModel server(model, strict_options());
   Rng rng(1);
   SubmitOptions submit;
   submit.deadline = std::chrono::steady_clock::now() - 1ms;
   EXPECT_THROW(server.submit(random_request(*model, rng), submit), DeadlineExceededError);
   const auto stats = server.stats();
-  EXPECT_EQ(stats.deadline_rejected, 1u);
+  EXPECT_EQ(stats.rejected_deadline, 1u);
   EXPECT_EQ(stats.accepted, 0u) << "a dead-on-arrival request must not consume queue capacity";
+  server.shutdown(true);
+  expect_resolution_partition(server.stats());
 }
 
 TEST_F(DeadlineTest, ExpiredBeforeExecutionResolvesTypedWithoutRunning) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
+  OneModel server(model, strict_options());
   // Stall the single worker by holding the pool's only session.
-  SessionPool::Lease stall = server.session_pool().acquire();
+  SessionPool::Lease stall = server.session_pool()->acquire();
   Rng rng(2);
   const auto deadline = std::chrono::steady_clock::now() + 5ms;
   SubmitOptions submit;
   submit.deadline = deadline;
   auto future = server.submit(random_request(*model, rng), submit);
-  // The worker has claimed the request and is blocked on session checkout.
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 1; }));
+  // With no free session the fleet leaves the request queued.
+  EXPECT_EQ(server.stats().queue_depth, 1);
   // Let the deadline genuinely lapse before execution can begin (bounded
   // observation of the clock, not a synchronization sleep).
   while (std::chrono::steady_clock::now() <= deadline) std::this_thread::yield();
@@ -176,7 +198,7 @@ TEST_F(DeadlineTest, ExpiredBeforeExecutionResolvesTypedWithoutRunning) {
 
 TEST_F(DeadlineTest, TimeoutSugarSetsTheDeadline) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
+  OneModel server(model, strict_options());
   Rng rng(3);
   // A generous timeout completes normally.
   SubmitOptions submit;
@@ -185,6 +207,8 @@ TEST_F(DeadlineTest, TimeoutSugarSetsTheDeadline) {
   ASSERT_EQ(future.wait_for(60s), std::future_status::ready);
   EXPECT_NO_THROW(future.get());
   EXPECT_EQ(server.stats().completed, 1u);
+  server.shutdown(true);
+  expect_resolution_partition(server.stats());
 }
 
 // ---- the cancel token inside the executor ----------------------------------
@@ -237,9 +261,9 @@ TEST_F(CancelTokenTest, WavefrontExecutorPollsTheTokenBetweenWaves) {
 
 TEST_F(RetryTest, TransientFaultRetriesOnSameBatchAndSucceeds) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;
-  Server server(model, options);
+  OneModel server(model, options);
   Rng rng(7);
   const auto inputs = random_request(*model, rng);
   failpoints::arm("serve.exec_transient", 1);  // exactly the first attempt fails
@@ -254,13 +278,15 @@ TEST_F(RetryTest, TransientFaultRetriesOnSameBatchAndSucceeds) {
   // The retried result is the correct one.
   Session reference(model);
   expect_bitwise_equal(outputs, reference.run(inputs));
+  server.shutdown(true);
+  expect_resolution_partition(server.stats());
 }
 
 TEST_F(RetryTest, ExhaustedRetryBudgetFailsTyped) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;
-  Server server(model, options);
+  OneModel server(model, options);
   Rng rng(8);
   failpoints::arm("serve.exec_transient", 3);  // initial + both retries all fault
   auto future = server.submit(random_request(*model, rng));
@@ -282,9 +308,9 @@ TEST_F(RetryTest, ExhaustedRetryBudgetFailsTyped) {
 
 TEST_F(QuarantineTest, CorruptingFaultRetiresTheSessionAndThePoolReplacesIt) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;  // corrupting faults must NOT consume retries
-  Server server(model, options);
+  OneModel server(model, options);
   Rng rng(9);
   const auto inputs = random_request(*model, rng);
   failpoints::arm("kernels.poison_nan", 1);
@@ -296,11 +322,11 @@ TEST_F(QuarantineTest, CorruptingFaultRetiresTheSessionAndThePoolReplacesIt) {
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.quarantined, 1u);
-  const auto pool_stats = server.session_pool().stats();
+  const auto pool_stats = server.session_pool()->stats();
   EXPECT_EQ(pool_stats.quarantined, 1u);
   EXPECT_EQ(pool_stats.replaced, 1u);
   EXPECT_EQ(pool_stats.replace_failures, 0u);
-  EXPECT_EQ(server.session_pool().size(), 1u) << "the pool must not shrink on replacement";
+  EXPECT_EQ(server.session_pool()->size(), 1u) << "the pool must not shrink on replacement";
 
   // The replacement session serves correct results immediately.
   auto clean = server.submit(inputs);
@@ -336,13 +362,12 @@ TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
 
 TEST_F(BreakerTest, ConsecutiveFailuresDegradeThenCleanProbesRestore) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
-  options.max_batch = 2;
-  options.batch_timeout = std::chrono::duration_cast<std::chrono::microseconds>(1s);
+  FleetOptions options = strict_options();
+  options.max_batch_timeout = std::chrono::duration_cast<std::chrono::microseconds>(1s);
   options.max_retries = 0;  // each transient fault fails its batch outright
   options.breaker_threshold = 2;
   options.breaker_recovery = 2;
-  Server server(model, options);
+  OneModel server(model, options);
   Rng rng(11);
   const auto inputs = random_request(*model, rng);
 
@@ -361,10 +386,10 @@ TEST_F(BreakerTest, ConsecutiveFailuresDegradeThenCleanProbesRestore) {
   // of 2 must run as singleton batches.  Stall the worker, queue both, then
   // let them through.
   {
-    SessionPool::Lease stall = server.session_pool().acquire();
+    SessionPool::Lease stall = server.session_pool()->acquire();
     auto first = server.submit(inputs);
     auto second = server.submit(inputs);
-    ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 1; }));
+    EXPECT_EQ(server.stats().queue_depth, 2);
     stall.release();
     ASSERT_EQ(first.wait_for(60s), std::future_status::ready);
     ASSERT_EQ(second.wait_for(60s), std::future_status::ready);
@@ -379,10 +404,10 @@ TEST_F(BreakerTest, ConsecutiveFailuresDegradeThenCleanProbesRestore) {
 
   // Restored: the same two-request pattern now coalesces into one batch.
   {
-    SessionPool::Lease stall = server.session_pool().acquire();
+    SessionPool::Lease stall = server.session_pool()->acquire();
     auto first = server.submit(inputs);
     auto second = server.submit(inputs);
-    ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 2; }));
+    EXPECT_EQ(server.stats().queue_depth, 2);
     stall.release();
     ASSERT_EQ(first.wait_for(60s), std::future_status::ready);
     ASSERT_EQ(second.wait_for(60s), std::future_status::ready);
@@ -398,10 +423,9 @@ TEST_F(BreakerTest, ConsecutiveFailuresDegradeThenCleanProbesRestore) {
 
 TEST_F(WatchdogTest, HungBatchFailsFastAndTheServerSurvives) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.hang_budget = 100ms;
-  options.watchdog_interval = 5ms;
-  Server server(model, options);
+  OneModel server(model, options);
   Rng rng(12);
   const auto inputs = random_request(*model, rng);
 
@@ -432,10 +456,10 @@ TEST_F(ShutdownStressTest, ConcurrentSubmittersAndShutdownsResolveEveryFutureExa
   Rng rng(13);
   const auto inputs = random_request(*model, rng);
   for (int round = 0; round < 6; ++round) {
-    ServerOptions options = strict_options();
+    FleetOptions options = strict_options();
     options.workers = 2;
-    options.sessions = 1;  // checkout contention widens the claimed-vs-queued race window
-    Server server(model, options);
+    options.sessions_per_model = 1;  // one lane per claim widens the claimed-vs-queued race
+    OneModel server(model, options);
 
     std::vector<std::future<std::vector<Tensor>>> futures;
     std::mutex futures_mutex;

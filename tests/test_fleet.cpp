@@ -2,10 +2,9 @@
 // SLO-aware admission, adaptive micro-batching, strict-SLO resolution, hot
 // swap with background drain, and the metrics layer's accounting.
 //
-// Determinism strategy mirrors test_serve.cpp: timing-sensitive behavior is
-// driven by backlog (saturate the queue, then observe) rather than sleeps,
-// and every cross-thread observation goes through the metrics snapshot or a
-// resolved future.
+// Timing-sensitive behavior is driven by backlog (saturate the queue, then
+// observe) rather than sleeps, and every cross-thread observation goes
+// through the metrics snapshot or a resolved future.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -101,6 +100,16 @@ TEST(FleetOptionsTest, ConstructionRejectsDegenerateOptions) {
   }
   {
     FleetOptions options;
+    options.retry_backoff = -1us;
+    EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
+  }
+  {
+    FleetOptions options;
+    options.hang_budget = -1ms;
+    EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
+  }
+  {
+    FleetOptions options;
     options.breaker_threshold = 3;
     options.breaker_recovery = 0;
     EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
@@ -110,6 +119,13 @@ TEST(FleetOptionsTest, ConstructionRejectsDegenerateOptions) {
     options.default_slo.weight = 0.0;
     EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
   }
+  // The boundary cases stay valid.
+  FleetOptions minimal;
+  minimal.workers = 1;
+  minimal.sessions_per_model = 1;
+  minimal.queue_capacity = 1;
+  minimal.max_batch_timeout = 0us;
+  EXPECT_NO_THROW(FleetServer fleet(minimal));
   // An install-time SLO is validated too.
   FleetServer fleet;
   auto model = compile_zoo_model("alexnet", 2);
@@ -268,6 +284,33 @@ TEST(FleetServerTest, AdmissionRejectsPredictablyDoomedRequests) {
   const auto snap = find_snapshot(fleet.snapshot(), "tight");
   EXPECT_EQ(snap.rejected_slo, static_cast<std::uint64_t>(shed));
   EXPECT_EQ(snap.accepted, 6u + static_cast<std::uint64_t>(accepted.size()));
+}
+
+TEST(FleetServerTest, SequentialClientSeesBookkeepingBeforeItsFutureResolves) {
+  // Regression: a batch's in_flight decrement and estimates are committed
+  // before its promises resolve.  When they were committed after, a strictly
+  // sequential client could submit while its own finished request still
+  // counted as in flight, and — with a p99 target below one execution —
+  // admission shed it as doomed.
+  auto model = compile_zoo_model("densenet121", 4);
+  FleetOptions options;
+  options.workers = 1;
+  options.sessions_per_model = 1;
+  FleetServer fleet(options);
+  fleet.install("tight", model, {.target_p99 = 1ms, .weight = 1.0});
+
+  Rng rng(6);
+  const auto request = random_request(*model, rng);
+  for (std::uint64_t r = 1; r <= 200; ++r) {
+    ASSERT_NO_THROW(fleet.submit("tight", request).get()) << "sequential request " << r;
+    const auto snap = find_snapshot(fleet.snapshot(), "tight");
+    ASSERT_EQ(snap.in_flight, 0) << "request " << r << " still in flight after its get()";
+    ASSERT_EQ(snap.completed, r);
+  }
+  const auto snap = find_snapshot(fleet.snapshot(), "tight");
+  EXPECT_EQ(snap.rejected_slo, 0u);
+  // The scenario only has teeth when one execution outlasts the target.
+  EXPECT_GT(snap.exec.quantile_ms(0.5), 1.0) << "one execution no longer outlasts the target";
 }
 
 TEST(FleetServerTest, DeadlinesRejectExpiredAndNeverDeliverLateValues) {
@@ -444,21 +487,31 @@ TEST(FleetMetricsTest, HistogramQuantilesAreBucketAccurate) {
 
 TEST(FleetMetricsTest, JsonExportCarriesCountersAndAdaptiveState) {
   auto model = compile_zoo_model("alexnet", 2);
-  FleetServer fleet;
+  FleetOptions options;
+  options.hang_budget = 50ms;
+  FleetServer fleet(options);
   fleet.install("clf", model, {.target_p99 = 250ms, .weight = 2.0});
   Rng rng(31);
   const auto request = random_request(*model, rng);
   for (int r = 0; r < 4; ++r) fleet.submit("clf", request).get();
+  {
+    // One hung batch, so the watchdog counters export nonzero values.
+    failpoints::ScopedArm wedge("serve.wedge_batch", 1);
+    EXPECT_THROW(fleet.submit("clf", request).get(), DeadlineExceededError);
+  }
 
   const std::string json = fleet.metrics_json();
   for (const char* key :
        {"\"models\":", "\"model\": \"clf\"", "\"completed\": 4", "\"rejected_slo\":",
-        "\"value_past_deadline\": 0", "\"arena_resident_bytes\":", "\"batch_cap\":",
+        "\"value_past_deadline\": 0", "\"hung_requests\": 1", "\"hung_batches\": 1",
+        "\"arena_resident_bytes\":", "\"batch_cap\":",
         "\"weight\": 2.000", "\"slo_target_p99_ms\": 250.000", "\"latency\":", "\"queue_wait\":",
         "\"exec\":", "\"p99_ms\":", "\"requests_per_second\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
   const auto snap = find_snapshot(fleet.snapshot(), "clf");
+  EXPECT_EQ(snap.hung_requests, 1u);
+  EXPECT_EQ(snap.hung_batches, 1u);
   EXPECT_EQ(snap.weight, 2.0);
   EXPECT_GT(snap.uptime_seconds, 0.0);
   EXPECT_GT(snap.requests_per_second, 0.0);

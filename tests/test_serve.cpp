@@ -1,13 +1,13 @@
 // Serving runtime semantics: compile-once artifacts, the session pool's
-// checkout protocol, and the server's batching/backpressure/shutdown/fault
-// contracts.
+// checkout protocol, a single-model fleet's batching/backpressure/shutdown/
+// fault contracts, and hot swap.
 //
 // The timing-sensitive scenarios are made deterministic without sleeps by
-// construction: tests stall the single worker at a known point by holding
-// the pool's only session lease, use the in_flight counter as the "worker
-// has claimed the request" sync point, and give the micro-batcher a long
-// coalescing window so every submitted straggler lands in the intended
-// batch.
+// construction: tests stall the single worker by holding the pool's only
+// session lease — the fleet never claims a request it has no session for,
+// so every submit stays measurably queued — and give the micro-batcher a
+// long coalescing window so every submitted straggler lands in the
+// intended batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,7 @@
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
@@ -32,10 +32,11 @@ namespace {
 using namespace std::chrono_literals;
 using serve::CompiledModel;
 using serve::CompileOptions;
-using serve::Server;
-using serve::ServerOptions;
+using serve::FleetOptions;
+using serve::FleetServer;
 using serve::Session;
 using serve::SessionPool;
+namespace metrics = serve::metrics;
 
 models::ModelConfig serve_config() {
   models::ModelConfig config;
@@ -70,7 +71,7 @@ std::vector<Tensor> random_request(const CompiledModel& model, Rng& rng) {
   return inputs;
 }
 
-/// Bounded spin-wait for cross-thread state the server exposes via stats.
+/// Bounded spin-wait for cross-thread state the fleet exposes via snapshots.
 bool eventually(const std::function<bool()>& predicate, std::chrono::milliseconds limit = 5s) {
   const auto deadline = std::chrono::steady_clock::now() + limit;
   while (!predicate()) {
@@ -78,6 +79,13 @@ bool eventually(const std::function<bool()>& predicate, std::chrono::millisecond
     std::this_thread::sleep_for(1ms);
   }
   return true;
+}
+
+/// The metrics of a one-model fleet's only model.
+metrics::ModelSnapshot stats(const FleetServer& fleet) {
+  const auto all = fleet.snapshot();
+  EXPECT_EQ(all.size(), 1u);
+  return all.empty() ? metrics::ModelSnapshot{} : all.front();
 }
 
 // ---- CompiledModel ---------------------------------------------------------
@@ -196,14 +204,15 @@ TEST(SessionPoolTest, CheckoutExhaustionAndReturn) {
   EXPECT_EQ(pool.available(), 0u);
 }
 
-// ---- Server ----------------------------------------------------------------
+// ---- a single-model fleet ----------------------------------------------------
 
-TEST(ServerTest, ManyRequestsMatchSequentialExecutionBitForBit) {
+TEST(SingleModelFleetTest, ManyRequestsMatchSequentialExecutionBitForBit) {
   auto model = compile_zoo_model("resnet18", compile_options(4));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 2;
-  options.batch_timeout = 100us;
-  Server server(model, options);
+  options.max_batch_timeout = 100us;
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(21);
   constexpr int kRequests = 24;
@@ -211,7 +220,7 @@ TEST(ServerTest, ManyRequestsMatchSequentialExecutionBitForBit) {
   std::vector<std::future<std::vector<Tensor>>> futures;
   for (int r = 0; r < kRequests; ++r) {
     inputs.push_back(random_request(*model, rng));
-    futures.push_back(server.submit(inputs.back()));
+    futures.push_back(fleet.submit("clf", inputs.back()));
   }
 
   runtime::Executor single(model->graph(1), {.use_arena = true});
@@ -223,135 +232,145 @@ TEST(ServerTest, ManyRequestsMatchSequentialExecutionBitForBit) {
       EXPECT_EQ(max_abs_diff(got[o], want.outputs[o]), 0.0f) << "request " << r;
     }
   }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.failed, 0u);
-  server.shutdown(true);
-  EXPECT_EQ(server.stats().in_flight, 0u);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.accepted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(snap.completed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(snap.failed, 0u);
+  fleet.shutdown(true);
+  EXPECT_EQ(stats(fleet).in_flight, 0);
 }
 
-TEST(ServerTest, RejectsIncompatibleRequestAtSubmission) {
+TEST(SingleModelFleetTest, RejectsIncompatibleRequestAtSubmission) {
   auto model = compile_zoo_model("alexnet");
-  Server server(model, {.workers = 1});
-  EXPECT_THROW(server.submit({}), InvalidGraphError);
-  EXPECT_THROW(server.submit({Tensor::zeros(model->input_shape(0).with_dim(0, 2))}),
+  FleetServer fleet({.workers = 1});
+  fleet.install("clf", model);
+  EXPECT_THROW(fleet.submit("clf", {}), InvalidGraphError);
+  EXPECT_THROW(fleet.submit("clf", {Tensor::zeros(model->input_shape(0).with_dim(0, 2))}),
                ShapeError);
-  EXPECT_EQ(server.stats().accepted, 0u);
+  EXPECT_EQ(stats(fleet).accepted, 0u);
 }
 
-TEST(ServerTest, FullQueueAppliesBackpressure) {
+TEST(SingleModelFleetTest, FullQueueAppliesBackpressure) {
   auto model = compile_zoo_model("alexnet", compile_options(2));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
+  options.sessions_per_model = 1;
   options.queue_capacity = 3;
-  options.max_batch = 1;  // one claimed request, the rest stay queued
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(31);
   const auto request = random_request(*model, rng);
 
-  // Stall the worker: with the only session checked out, it claims one
-  // request and blocks at session checkout.
-  SessionPool::Lease stall = server.session_pool().acquire();
+  // Stall the worker: with the only session checked out it claims nothing,
+  // so admitted requests fill the queue.
+  SessionPool::Lease stall = fleet.session_pool("clf")->acquire();
   std::vector<std::future<std::vector<Tensor>>> futures;
-  futures.push_back(server.submit(request));
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 1; }));
-  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(request));
+  for (int i = 0; i < 3; ++i) futures.push_back(fleet.submit("clf", request));
+  EXPECT_EQ(stats(fleet).queue_depth, 3);
 
-  EXPECT_THROW(server.submit(request), ResourceExhaustedError);
-  EXPECT_EQ(server.stats().rejected, 1u);
+  EXPECT_THROW(fleet.submit("clf", request), ResourceExhaustedError);
+  EXPECT_EQ(stats(fleet).rejected_queue_full, 1u);
 
   stall.release();
   for (auto& future : futures) EXPECT_NO_THROW(future.get());
-  server.shutdown(true);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.accepted, 4u);
+  fleet.shutdown(true);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.completed, 3u);
+  EXPECT_EQ(snap.accepted, 3u);
 }
 
-TEST(ServerTest, DestructionCancelsQueuedButCompletesClaimedRequests) {
+TEST(SingleModelFleetTest, DestructionCancelsQueuedButCompletesClaimedRequests) {
   auto model = compile_zoo_model("alexnet", compile_options(2));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 1;
-  Server server(model, options);
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 0us;
+  options.max_retries = 1;
+  // A backoff no test outlasts: only shutdown ends the nap.
+  options.retry_backoff = std::chrono::duration_cast<std::chrono::microseconds>(60s);
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(41);
   const auto request = random_request(*model, rng);
 
-  SessionPool::Lease stall = server.session_pool().acquire();
-  auto claimed = server.submit(request);
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 1; }));
-  auto queued_a = server.submit(request);
-  auto queued_b = server.submit(request);
+  // Stall the worker mid-batch: the claimed request's first attempt faults
+  // transiently and the worker naps in its retry backoff.  (Holding the only
+  // session would not do — the fleet never claims a request it has no
+  // session for.)
+  failpoints::arm("serve.exec_transient", 1);
+  auto claimed = fleet.submit("clf", request);
+  ASSERT_TRUE(eventually([&] {
+    const auto snap = stats(fleet);
+    return snap.in_flight == 1 && snap.retries == 1;
+  }));
+  auto queued_a = fleet.submit("clf", request);
+  auto queued_b = fleet.submit("clf", request);
 
-  // Shutdown from another thread while the worker is wedged on checkout:
-  // queued requests must fail fast with the typed cancellation, the claimed
-  // one must still complete, and neither side may deadlock.
-  std::thread closer([&] { server.shutdown(false); });
-  ASSERT_TRUE(eventually([&] { return server.stats().cancelled == 2; }));
+  // Shutdown from another thread while the worker is stalled: queued
+  // requests must fail fast with the typed cancellation, the claimed one
+  // must still complete, and neither side may deadlock.
+  std::thread closer([&] { fleet.shutdown(false); });
+  ASSERT_TRUE(eventually([&] { return stats(fleet).cancelled == 2; }));
   EXPECT_THROW(queued_a.get(), CancelledError);
   EXPECT_THROW(queued_b.get(), CancelledError);
-  EXPECT_THROW(server.submit(request), CancelledError) << "admission closed during shutdown";
+  EXPECT_THROW(fleet.submit("clf", request), CancelledError) << "admission closed during shutdown";
 
-  stall.release();
   EXPECT_NO_THROW(claimed.get()) << "claimed requests are never dropped";
   closer.join();
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.cancelled, 2u);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.completed, 1u);
+  EXPECT_EQ(snap.cancelled, 2u);
 }
 
-TEST(ServerTest, DrainShutdownCompletesEverythingAccepted) {
+TEST(SingleModelFleetTest, DrainShutdownCompletesEverythingAccepted) {
   auto model = compile_zoo_model("alexnet", compile_options(2));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 2;
-  options.batch_timeout = 2s;  // stragglers always land in the open batch
-  Server server(model, options);
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 2s;  // stragglers always land in the open batch
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(51);
   const auto request = random_request(*model, rng);
 
-  SessionPool::Lease stall = server.session_pool().acquire();
+  SessionPool::Lease stall = fleet.session_pool("clf")->acquire();
   std::vector<std::future<std::vector<Tensor>>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(server.submit(request));
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 1; }));
+  for (int i = 0; i < 5; ++i) futures.push_back(fleet.submit("clf", request));
+  EXPECT_EQ(stats(fleet).queue_depth, 5);
 
-  std::thread closer([&] { server.shutdown(true); });
+  std::thread closer([&] { fleet.shutdown(true); });
   stall.release();
   closer.join();
   for (auto& future : futures) EXPECT_NO_THROW(future.get());
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 5u);
-  EXPECT_EQ(stats.cancelled, 0u);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.completed, 5u);
+  EXPECT_EQ(snap.cancelled, 0u);
 }
 
-TEST(ServerTest, CoalescesQueuedRequestsIntoMicroBatches) {
+TEST(SingleModelFleetTest, CoalescesQueuedRequestsIntoMicroBatches) {
   auto model = compile_zoo_model("resnet18", compile_options(4));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 4;
-  options.batch_timeout = 2s;  // full batches dispatch immediately; partial wait
-  Server server(model, options);
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 2s;  // full batches dispatch immediately; partial wait
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(61);
   std::vector<std::vector<Tensor>> inputs;
   std::vector<std::future<std::vector<Tensor>>> futures;
 
-  // With the session held, the worker coalesces a full batch of 4 and wedges
-  // at checkout; the other 4 queue behind it and form the second batch.
-  SessionPool::Lease stall = server.session_pool().acquire();
+  // With the session held all 8 requests queue; once it frees, the worker
+  // takes a full batch of 4 and then the other 4.
+  SessionPool::Lease stall = fleet.session_pool("clf")->acquire();
   for (int r = 0; r < 8; ++r) {
     inputs.push_back(random_request(*model, rng));
-    futures.push_back(server.submit(inputs.back()));
+    futures.push_back(fleet.submit("clf", inputs.back()));
   }
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 4; }));
+  EXPECT_EQ(stats(fleet).queue_depth, 8);
   stall.release();
 
   runtime::Executor single(model->graph(1), {.use_arena = true});
@@ -363,32 +382,32 @@ TEST(ServerTest, CoalescesQueuedRequestsIntoMicroBatches) {
           << "request " << r << ": batching changed the bits";
     }
   }
-  server.shutdown(true);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.batches, 2u) << "8 requests at max_batch 4 must form exactly 2 batches";
-  EXPECT_EQ(stats.batched_requests, 8u);
-  EXPECT_EQ(stats.max_batch_seen, 4u);
+  fleet.shutdown(true);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.batches, 2u) << "8 requests at max_batch 4 must form exactly 2 batches";
+  EXPECT_EQ(snap.batched_requests, 8u);
+  EXPECT_EQ(snap.max_batch_seen, 4u);
 }
 
-TEST(ServerTest, InjectedKernelFaultFailsExactlyThatBatch) {
+TEST(SingleModelFleetTest, InjectedKernelFaultFailsExactlyThatBatch) {
   // check_numerics compiled into the sessions: the poisoned NaN surfaces as
   // a NumericError naming the node, which must land on every request of the
   // faulted batch and no other.
   auto model = compile_zoo_model("alexnet", compile_options(4, /*check_numerics=*/true));
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 4;
-  options.batch_timeout = 2s;
-  Server server(model, options);
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 2s;
+  FleetServer fleet(options);
+  fleet.install("clf", model);
 
   Rng rng(71);
   const auto request = random_request(*model, rng);
 
-  SessionPool::Lease stall = server.session_pool().acquire();
+  SessionPool::Lease stall = fleet.session_pool("clf")->acquire();
   std::vector<std::future<std::vector<Tensor>>> doomed;
-  for (int r = 0; r < 4; ++r) doomed.push_back(server.submit(request));
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 4; }));
+  for (int r = 0; r < 4; ++r) doomed.push_back(fleet.submit("clf", request));
+  EXPECT_EQ(stats(fleet).queue_depth, 4);
 
   {
     failpoints::ScopedArm arm("kernels.poison_nan", 1);
@@ -396,32 +415,59 @@ TEST(ServerTest, InjectedKernelFaultFailsExactlyThatBatch) {
     for (auto& future : doomed) EXPECT_THROW(future.get(), NumericError);
   }
 
-  // The worker, session, and server survive: the next batch is clean.
-  auto survivor = server.submit(request);
+  // The worker, session pool, and fleet survive: the next batch is clean.
+  auto survivor = fleet.submit("clf", request);
   EXPECT_NO_THROW(survivor.get());
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.failed, 4u);
-  EXPECT_EQ(stats.completed, 1u);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.failed, 4u);
+  EXPECT_EQ(snap.completed, 1u);
 }
 
-// ---- ArtifactRegistry hot swap ---------------------------------------------
+TEST(SingleModelFleetTest, StatsExposeQueueDepthAndArenaResidency) {
+  auto model = compile_zoo_model("alexnet", compile_options(2));
+  FleetOptions options;
+  options.workers = 1;
+  options.sessions_per_model = 1;
+  FleetServer fleet(options);
+  fleet.install("clf", model);
+  const auto pool = fleet.session_pool("clf");
+  EXPECT_EQ(stats(fleet).arena_resident_bytes, pool->resident_bytes());
+  EXPECT_GT(stats(fleet).arena_resident_bytes, 0);
+  EXPECT_EQ(stats(fleet).queue_depth, 0);
 
-TEST(ArtifactRegistryTest, UnknownNamesAreTypedErrors) {
-  serve::ArtifactRegistry registry;
+  // Stall the worker on the only session: every request measurably queued.
+  Rng rng(41);
+  const auto request = random_request(*model, rng);
+  SessionPool::Lease stall = pool->acquire();
+  std::vector<std::future<std::vector<Tensor>>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(fleet.submit("clf", request));
+  EXPECT_EQ(stats(fleet).queue_depth, 4);
+
+  stall.release();
+  for (auto& future : futures) future.get();
+  fleet.shutdown(true);
+  EXPECT_EQ(stats(fleet).queue_depth, 0);
+}
+
+// ---- hot swap ---------------------------------------------------------------
+
+TEST(HotSwapTest, UnknownNamesAreTypedErrors) {
+  FleetServer fleet;
   auto model = compile_zoo_model("alexnet", compile_options(2));
   Rng rng(81);
   auto request = random_request(*model, rng);
-  EXPECT_THROW(registry.submit("ghost", request), InvalidGraphError);
-  EXPECT_THROW(registry.server("ghost"), InvalidGraphError);
-  EXPECT_THROW(registry.swap("ghost", model), InvalidGraphError)
+  EXPECT_THROW(fleet.submit("ghost", request), InvalidGraphError);
+  EXPECT_THROW(fleet.model("ghost"), InvalidGraphError);
+  EXPECT_THROW(fleet.session_pool("ghost"), InvalidGraphError);
+  EXPECT_THROW(fleet.swap("ghost", model), InvalidGraphError)
       << "swap is a replacement, not a first deploy";
-  EXPECT_NO_THROW(registry.remove("ghost"));
-  registry.install("clf", model);
-  EXPECT_EQ(registry.names(), std::vector<std::string>{"clf"});
-  EXPECT_NO_THROW(registry.swap("clf", model));
+  EXPECT_NO_THROW(fleet.remove("ghost"));
+  fleet.install("clf", model);
+  EXPECT_EQ(fleet.names(), std::vector<std::string>{"clf"});
+  EXPECT_NO_THROW(fleet.swap("clf", model));
 }
 
-TEST(ArtifactRegistryTest, HotSwapUnderConcurrentClientsDropsNothing) {
+TEST(HotSwapTest, HotSwapUnderConcurrentClientsDropsNothing) {
   // Two models with identical signatures but different weights, so every
   // response is attributable: bitwise model-A output, bitwise model-B output,
   // or a misroute (which fails the test).  Model B travels through the full
@@ -444,25 +490,30 @@ TEST(ArtifactRegistryTest, HotSwapUnderConcurrentClientsDropsNothing) {
   const auto want_b = single_b.run(request).outputs;
   ASSERT_GT(max_abs_diff(want_a[0], want_b[0]), 0.0f) << "models must be distinguishable";
 
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 2;
-  options.batch_timeout = 100us;
-  serve::ArtifactRegistry registry(options);
-  registry.install("clf", model_a);
-  const auto old_server = registry.server("clf");
+  options.max_batch_timeout = 100us;
+  FleetServer fleet(options);
+  fleet.install("clf", model_a);
+  const auto old_pool = fleet.session_pool("clf");
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 16;
+  constexpr int kSwapAfter = 4;  ///< client 0 swaps after this many responses
   std::atomic<int> completed{0};
   std::atomic<int> from_a{0};
   std::atomic<int> from_b{0};
   std::atomic<int> misrouted{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
+    clients.emplace_back([&, c] {
       for (int r = 0; r < kPerClient; ++r) {
+        // Swap mid-traffic from inside a client, once the old model has
+        // demonstrably served it: peers are in flight while the artifact
+        // loads, and this client's later requests must reach model B.
+        if (c == 0 && r == kSwapAfter) fleet.swap_file("clf", path);
         // submit() must absorb the swap: no CancelledError, no drop.
-        const auto got = registry.submit("clf", request).get();
+        const auto got = fleet.submit("clf", request).get();
         if (max_abs_diff(got[0], want_a[0]) == 0.0f) {
           from_a.fetch_add(1);
         } else if (max_abs_diff(got[0], want_b[0]) == 0.0f) {
@@ -475,9 +526,6 @@ TEST(ArtifactRegistryTest, HotSwapUnderConcurrentClientsDropsNothing) {
     });
   }
 
-  // Swap mid-traffic, once the old model has demonstrably served requests.
-  ASSERT_TRUE(eventually([&] { return completed.load() >= kClients; }));
-  registry.swap_file("clf", path);
   for (auto& client : clients) client.join();
 
   EXPECT_EQ(completed.load(), kClients * kPerClient) << "a request was dropped";
@@ -485,16 +533,17 @@ TEST(ArtifactRegistryTest, HotSwapUnderConcurrentClientsDropsNothing) {
   EXPECT_GT(from_a.load(), 0) << "swap happened before any old-model traffic";
   EXPECT_GT(from_b.load(), 0) << "swap never took effect";
 
-  // The displaced server drained: every lease returned, nothing in flight,
-  // and it no longer admits work.
-  EXPECT_EQ(old_server->stats().in_flight, 0u);
-  EXPECT_EQ(old_server->session_pool().available(), old_server->session_pool().size());
-  EXPECT_THROW(old_server->submit(request), CancelledError);
-  EXPECT_NE(registry.server("clf").get(), old_server.get());
+  // The displaced generation drained: every lease returned, nothing in
+  // flight, and the name now routes to the new generation.
+  fleet.wait_drained();
+  EXPECT_EQ(stats(fleet).in_flight, 0);
+  EXPECT_EQ(old_pool->available(), old_pool->size());
+  EXPECT_NE(fleet.session_pool("clf").get(), old_pool.get());
+  EXPECT_NE(fleet.model("clf").get(), model_a.get());
 
-  // Post-swap steady state: registry responses are bitwise the fresh compile
-  // of model B (the artifact round-trip changed nothing).
-  const auto settled = registry.submit("clf", request).get();
+  // Post-swap steady state: responses are bitwise the fresh compile of
+  // model B (the artifact round-trip changed nothing).
+  const auto settled = fleet.submit("clf", request).get();
   ASSERT_EQ(settled.size(), want_b.size());
   for (std::size_t o = 0; o < want_b.size(); ++o) {
     EXPECT_EQ(max_abs_diff(settled[o], want_b[o]), 0.0f) << "output " << o;
@@ -502,88 +551,7 @@ TEST(ArtifactRegistryTest, HotSwapUnderConcurrentClientsDropsNothing) {
   std::remove(path.c_str());
 }
 
-// ---- options validation (regression: every degenerate config is a typed
-// construction-time error, never a hang or a partial server) ----------------
-
-TEST(ServerTest, ConstructionRejectsDegenerateOptions) {
-  auto model = compile_zoo_model("alexnet", compile_options(2));
-  {
-    ServerOptions options;
-    options.workers = 0;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  {
-    ServerOptions options;
-    options.queue_capacity = 0;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  {
-    // max_batch beyond the compiled ceiling: there is no variant to run it.
-    ServerOptions options;
-    options.max_batch = 3;
-    EXPECT_THROW(Server server(model, options), ResourceExhaustedError);
-  }
-  {
-    ServerOptions options;
-    options.batch_timeout = -1us;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  {
-    ServerOptions options;
-    options.retry_backoff = -1us;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  {
-    ServerOptions options;
-    options.hang_budget = -1ms;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  {
-    // An enabled breaker that can never close again is a misconfiguration,
-    // not a policy.
-    ServerOptions options;
-    options.breaker_threshold = 2;
-    options.breaker_recovery = 0;
-    EXPECT_THROW(Server server(model, options), InvalidGraphError);
-  }
-  // The boundary cases stay valid.
-  ServerOptions minimal;
-  minimal.workers = 1;
-  minimal.queue_capacity = 1;
-  minimal.max_batch = 2;
-  minimal.batch_timeout = 0us;
-  EXPECT_NO_THROW(Server server(model, minimal));
-}
-
-TEST(ServerTest, StatsExposeQueueDepthAndArenaResidency) {
-  auto model = compile_zoo_model("alexnet", compile_options(2));
-  ServerOptions options;
-  options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 1;
-  Server server(model, options);
-  EXPECT_EQ(server.stats().resident_arena_bytes, server.session_pool().resident_bytes());
-  EXPECT_GT(server.stats().resident_arena_bytes, 0);
-  EXPECT_EQ(server.stats().queue_depth, 0u);
-
-  // Stall the worker on session checkout: one request in flight, the rest
-  // measurably queued.
-  Rng rng(41);
-  const auto request = random_request(*model, rng);
-  SessionPool::Lease stall = server.session_pool().acquire();
-  std::vector<std::future<std::vector<Tensor>>> futures;
-  futures.push_back(server.submit(request));
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 1; }));
-  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(request));
-  EXPECT_EQ(server.stats().queue_depth, 3u);
-
-  stall.release();
-  for (auto& future : futures) future.get();
-  server.shutdown(true);
-  EXPECT_EQ(server.stats().queue_depth, 0u);
-}
-
-TEST(ArtifactRegistryTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryResponse) {
+TEST(HotSwapTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryResponse) {
   // Two names served concurrently, every request deadline-laden, both names
   // hot-swapped mid-traffic to a different-seed compile.  The contract under
   // test: every response is bitwise the old or the new weights of ITS name
@@ -609,11 +577,11 @@ TEST(ArtifactRegistryTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryRes
     ASSERT_GT(max_abs_diff(want_old[m][0], want_new[m][0]), 0.0f);
   }
 
-  ServerOptions options;
+  FleetOptions options;
   options.workers = 2;
-  options.batch_timeout = 100us;
-  serve::ArtifactRegistry registry(options);
-  for (int m = 0; m < 2; ++m) registry.install(kNames[m], old_model[m]);
+  options.max_batch_timeout = 100us;
+  FleetServer fleet(options);
+  for (int m = 0; m < 2; ++m) fleet.install(kNames[m], old_model[m]);
 
   constexpr int kClientsPerModel = 2;
   constexpr int kPerClient = 12;
@@ -627,7 +595,7 @@ TEST(ArtifactRegistryTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryRes
           serve::SubmitOptions submit_options;
           submit_options.timeout = 500ms;  // generous: present, not binding
           try {
-            const auto got = registry.submit(kNames[m], request[m], submit_options).get();
+            const auto got = fleet.submit(kNames[m], request[m], submit_options).get();
             if (max_abs_diff(got[0], want_old[m][0]) == 0.0f) {
               from_old[m].fetch_add(1);
             } else if (max_abs_diff(got[0], want_new[m][0]) == 0.0f) {
@@ -646,7 +614,7 @@ TEST(ArtifactRegistryTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryRes
   // Swap both names once each has demonstrably served old-model traffic.
   for (int m = 0; m < 2; ++m) {
     ASSERT_TRUE(eventually([&] { return from_old[m].load() >= 2; }));
-    registry.swap(kNames[m], new_model[m]);
+    fleet.swap(kNames[m], new_model[m]);
   }
   for (auto& client : clients) client.join();
 
@@ -655,7 +623,7 @@ TEST(ArtifactRegistryTest, TwoModelHotSwapUnderDeadlineTrafficAttributesEveryRes
   for (int m = 0; m < 2; ++m) {
     EXPECT_GT(from_old[m].load(), 0) << kNames[m] << " swapped before any old traffic";
     // Post-swap, both names answer with the new weights.
-    const auto settled = registry.submit(kNames[m], request[m]).get();
+    const auto settled = fleet.submit(kNames[m], request[m]).get();
     EXPECT_EQ(max_abs_diff(settled[0], want_new[m][0]), 0.0f) << kNames[m];
   }
 }
